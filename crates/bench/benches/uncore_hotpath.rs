@@ -86,10 +86,37 @@ fn bench_drain_burst(c: &mut Criterion) {
     });
 }
 
+/// A sustained memory-controller backlog: 512 reads across both GT240
+/// channels pushed at cycle 0, far beyond the 16-entry MC queues, then
+/// advanced until every response is back. Most requests wait in the
+/// per-channel overflow queues, so this prices a backlogged request.
+fn bench_overflow_backlog(c: &mut Criterion) {
+    let cfg = GpuConfig::gt240();
+    c.bench_function("uncore/overflow-backlog-512", |b| {
+        b.iter(|| {
+            let mut uncore = Uncore::new(&cfg);
+            let mut stats = ActivityVector::new();
+            let mut resps = Vec::new();
+            for i in 0..512u32 {
+                uncore.push_request(read_req(i as usize % 12, i * 0x100), &mut stats);
+            }
+            let mut delivered = 0usize;
+            while !uncore.is_idle() {
+                uncore.advance(u64::MAX, &mut resps, &mut stats);
+                delivered += resps.len();
+                resps.clear();
+            }
+            assert_eq!(delivered, 512);
+            black_box(stats[EventKind::DramReadBursts])
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_idle_dense,
     bench_idle_skip,
-    bench_drain_burst
+    bench_drain_burst,
+    bench_overflow_backlog
 );
 criterion_main!(benches);

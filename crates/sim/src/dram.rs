@@ -25,6 +25,14 @@ pub struct DramRequest<T> {
     pub token: T,
 }
 
+/// A queued request with its bank and row, decoded once at enqueue.
+#[derive(Debug, Clone, Copy)]
+struct Queued<T> {
+    req: DramRequest<T>,
+    bank: usize,
+    row: u64,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Bank {
     open_row: Option<u64>,
@@ -35,7 +43,7 @@ struct Bank {
 #[derive(Debug, Clone)]
 pub struct DramChannel<T> {
     cfg: DramConfig,
-    queue: VecDeque<DramRequest<T>>,
+    queue: VecDeque<Queued<T>>,
     banks: Vec<Bank>,
     data_bus_free_at: u64,
     next_refresh: u64,
@@ -78,7 +86,8 @@ impl<T: Copy> DramChannel<T> {
     pub fn push(&mut self, req: DramRequest<T>, stats: &mut ActivityVector) {
         assert!(self.can_accept(), "dram queue overflow");
         stats[Ev::McQueueOps] += 1;
-        self.queue.push_back(req);
+        let (bank, row) = self.map(req.addr);
+        self.queue.push_back(Queued { req, bank, row });
     }
 
     /// Advances one command-clock cycle; schedules at most one request.
@@ -103,19 +112,21 @@ impl<T: Copy> DramChannel<T> {
         let pick = self
             .queue
             .iter()
-            .position(|r| {
-                let (bank, row) = self.map(r.addr);
-                self.banks[bank].ready_at <= cycle && self.banks[bank].open_row == Some(row)
+            .position(|q| {
+                let bank = &self.banks[q.bank];
+                bank.ready_at <= cycle && bank.open_row == Some(q.row)
             })
             .or_else(|| {
-                self.queue.iter().position(|r| {
-                    let (bank, _) = self.map(r.addr);
-                    self.banks[bank].ready_at <= cycle
-                })
+                self.queue
+                    .iter()
+                    .position(|q| self.banks[q.bank].ready_at <= cycle)
             });
         let Some(idx) = pick else { return };
-        let req = self.queue.remove(idx).expect("index from position");
-        let (bank_idx, row) = self.map(req.addr);
+        let Queued {
+            req,
+            bank: bank_idx,
+            row,
+        } = self.queue.remove(idx).expect("index from position");
         let bank = &mut self.banks[bank_idx];
 
         // Command latency depends on the row state.
@@ -197,34 +208,13 @@ impl<T: Copy> DramChannel<T> {
             let schedulable = self
                 .queue
                 .iter()
-                .map(|r| {
-                    let (bank, _) = self.map(r.addr);
-                    self.banks[bank].ready_at
-                })
+                .map(|q| self.banks[q.bank].ready_at)
                 .min()
                 .expect("queue non-empty")
                 .max(self.refreshing_until);
             next = next.min(schedulable);
         }
         next.max(cycle + 1)
-    }
-
-    /// Advances the channel through every cycle in `from..=to`, ticking
-    /// only at event cycles ([`DramChannel::next_event`]); skipped
-    /// cycles are provably no-op ticks. Exactly equivalent to calling
-    /// [`DramChannel::tick`] for each cycle of the span: scheduling
-    /// decisions, stats and completion-ready cycles are bit-identical.
-    ///
-    /// Completions are *not* drained; the caller pops them at the exact
-    /// cycles they become ready (which `next_event` reports).
-    pub fn tick_to(&mut self, from: u64, to: u64, stats: &mut ActivityVector) {
-        // `from` itself may be an event cycle; ticking a non-event cycle
-        // is a no-op, so starting with an unconditional tick is safe.
-        let mut cycle = from;
-        while cycle <= to {
-            self.tick(cycle, stats);
-            cycle = self.next_event(cycle);
-        }
     }
 
     /// `true` when no requests are queued or completing.
@@ -418,7 +408,7 @@ mod tests {
     }
 
     /// Mixed read/write workload touching several banks and rows, used by
-    /// the event-equivalence tests below.
+    /// the event-exactness test below.
     fn mixed_workload(c: &mut DramChannel<u32>, stats: &mut ActivityVector) {
         let row_bytes = DramConfig::gddr5().row_bytes as u32;
         let banks = DramConfig::gddr5().banks as u32;
@@ -443,36 +433,6 @@ mod tests {
                 stats,
             );
         }
-    }
-
-    #[test]
-    fn tick_to_matches_per_cycle_ticking() {
-        let trefi = DramConfig::gddr5().t_refi as u64;
-        let span = trefi * 2 + 500; // cross two refreshes
-        let mut dense = ch();
-        let mut dense_stats = ActivityVector::new();
-        mixed_workload(&mut dense, &mut dense_stats);
-        let mut dense_done = Vec::new();
-        for c in 0..span {
-            dense.tick(c, &mut dense_stats);
-            dense_done.extend(dense.pop_completed(c).into_iter().map(|t| (c, t)));
-        }
-
-        let mut sparse = ch();
-        let mut sparse_stats = ActivityVector::new();
-        mixed_workload(&mut sparse, &mut sparse_stats);
-        // One jump across the whole span; completions keep their exact
-        // ready cycles (tick_to never drains them), so popping per cycle
-        // afterwards reconstructs the delivery schedule.
-        sparse.tick_to(0, span - 1, &mut sparse_stats);
-        let mut sparse_done = Vec::new();
-        for c in 0..span {
-            sparse_done.extend(sparse.pop_completed(c).into_iter().map(|t| (c, t)));
-        }
-
-        assert_eq!(dense_done, sparse_done, "completion cycles/order differ");
-        assert_eq!(dense_stats, sparse_stats, "activity stats differ");
-        assert!(dense.is_idle() && sparse.is_idle());
     }
 
     #[test]

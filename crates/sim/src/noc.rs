@@ -7,11 +7,10 @@
 //!
 //! Links participate in the event-driven uncore (`crate::uncore`): in
 //! addition to the per-cycle [`Link::tick`], they expose
-//! [`Link::next_event`] (the earliest future cycle at which ticking
-//! could change observable state) and [`Link::tick_to`] (advance across
-//! a span of cycles in one call, skipping cycles that are provably
-//! no-ops). Both are exact: driving a link event-to-event produces the
-//! same arrival cycles and ordering as ticking every cycle.
+//! [`Link::next_event`], the earliest future cycle at which ticking
+//! could change observable state. It is exact: driving a link
+//! event-to-event produces the same arrival cycles and ordering as
+//! ticking every cycle.
 
 use std::collections::VecDeque;
 
@@ -126,22 +125,6 @@ impl<T> Link<T> {
             .map(|(ready, _)| (*ready).max(cycle + 1))
     }
 
-    /// Advances the link through every cycle in `from..=to` in one call,
-    /// stopping early once the waiting queue drains (all remaining
-    /// cycles are then transmission no-ops; in-flight messages are
-    /// untouched by ticking and simply wait for [`Link::pop_ready`]).
-    ///
-    /// Exactly equivalent to calling [`Link::tick`] for each cycle of
-    /// the span: completion (and therefore arrival) cycles are
-    /// bit-identical.
-    pub fn tick_to(&mut self, from: u64, to: u64) {
-        let mut cycle = from;
-        while cycle <= to && !self.waiting.is_empty() {
-            self.tick(cycle);
-            cycle += 1;
-        }
-    }
-
     /// `true` when messages are queued awaiting bandwidth (a tick would
     /// make transmission progress).
     pub fn has_waiting(&self) -> bool {
@@ -253,30 +236,6 @@ mod tests {
         assert_eq!(link.pop_ready(6), Vec::<u32>::new());
         assert_eq!(link.pop_ready(7), vec![1]);
         assert_eq!(link.next_event(7), None);
-    }
-
-    #[test]
-    fn tick_to_matches_per_cycle_ticking() {
-        // Drive two identical links over the same span: one per cycle,
-        // one with a single tick_to jump. Arrivals must be identical.
-        let mut per_cycle: Link<u32> = Link::new(3, 2);
-        let mut jumped: Link<u32> = Link::new(3, 2);
-        for (i, flits) in [(0u32, 1usize), (1, 4), (2, 2), (3, 5)] {
-            per_cycle.push(i, flits);
-            jumped.push(i, flits);
-        }
-        let mut a = Vec::new();
-        for c in 0..40 {
-            per_cycle.tick(c);
-            a.extend(per_cycle.pop_ready(c).into_iter().map(|m| (c, m)));
-        }
-        jumped.tick_to(0, 39);
-        let mut b = Vec::new();
-        for c in 0..40 {
-            b.extend(jumped.pop_ready(c).into_iter().map(|m| (c, m)));
-        }
-        assert_eq!(a, b);
-        assert!(per_cycle.is_empty() && jumped.is_empty());
     }
 
     #[test]

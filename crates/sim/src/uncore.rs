@@ -73,8 +73,8 @@ pub struct Uncore {
     resp_link: Link<RouteToken>,
     l2: Option<L2Bank<RouteToken>>,
     channels: Vec<DramChannel<RouteToken>>,
-    /// Requests bounced off a full MC queue, retried every DRAM cycle.
-    dram_overflow: VecDeque<(usize, DramRequest<RouteToken>)>,
+    /// Per-channel FIFOs of requests bounced off a full MC queue.
+    overflow: Vec<VecDeque<DramRequest<RouteToken>>>,
 
     // Clock-domain state (see the module docs).
     uncore_cycle: u64,
@@ -125,7 +125,7 @@ impl Uncore {
                 )
             }),
             channels,
-            dram_overflow: VecDeque::new(),
+            overflow: vec![VecDeque::new(); cfg.mem_channels],
             uncore_cycle: 0,
             dram_cycle: 0,
             uacc: 0.0,
@@ -158,8 +158,8 @@ impl Uncore {
         self.req_link.is_empty()
             && self.resp_link.is_empty()
             && self.l2.as_ref().is_none_or(L2Bank::is_empty)
-            && self.dram_overflow.is_empty()
             && self.channels.iter().all(DramChannel::is_idle)
+            && self.overflow.iter().all(VecDeque::is_empty)
     }
 
     /// Injects a core's memory request into the request network,
@@ -298,14 +298,19 @@ impl Uncore {
 
     /// One due DRAM cycle: overflow retries, then every channel ticks
     /// and drains completions, in channel order (the dense-loop order).
+    ///
+    /// The retry moves each channel's oldest overflowed requests into
+    /// its free slots. The dense loop walked one global FIFO instead,
+    /// but that walk also accepts, per channel, exactly the first
+    /// free-slot-many of that channel's entries, so the two agree.
     fn step_dram_cycle(&mut self, stats: &mut ActivityVector) {
         let dc = self.dram_cycle;
-        for _ in 0..self.dram_overflow.len() {
-            let (ch, req) = self.dram_overflow.pop_front().expect("len checked");
-            if self.channels[ch].can_accept() {
-                self.channels[ch].push(req, stats);
-            } else {
-                self.dram_overflow.push_back((ch, req));
+        for (channel, overflow) in self.channels.iter_mut().zip(&mut self.overflow) {
+            while channel.can_accept() {
+                let Some(req) = overflow.pop_front() else {
+                    break;
+                };
+                channel.push(req, stats);
             }
         }
         for i in 0..self.channels.len() {
@@ -327,13 +332,20 @@ impl Uncore {
         }
     }
 
-    /// Refreshes the DRAM event cache from the channels. Overflowed
-    /// requests force per-cycle stepping: a retry can succeed the cycle
-    /// after any channel pops, and per-cycle retry is what the dense
-    /// loop did.
+    /// Refreshes the DRAM event cache. A retry is due on the next DRAM
+    /// cycle when some channel has both overflowed requests and a free
+    /// slot; otherwise the channels' own events decide. Queue occupancy
+    /// changes only at a channel tick, a retry or a routed request, and
+    /// each of those recomputes this, so a skipped cycle is one whose
+    /// retry would have found every backlogged channel full.
     fn recompute_dram_event(&mut self) {
-        if !self.dram_overflow.is_empty() {
-            self.next_dram_event = 0;
+        let retry_due = self
+            .channels
+            .iter()
+            .zip(&self.overflow)
+            .any(|(channel, overflow)| !overflow.is_empty() && channel.can_accept());
+        if retry_due {
+            self.next_dram_event = self.dram_cycle + 1;
             return;
         }
         self.next_dram_event = self
@@ -380,7 +392,7 @@ impl Uncore {
         if self.channels[ch].can_accept() {
             self.channels[ch].push(dreq, stats);
         } else {
-            self.dram_overflow.push_back((ch, dreq));
+            self.overflow[ch].push_back(dreq);
         }
         true
     }
@@ -648,6 +660,68 @@ mod tests {
             .map(|i| (0u64, read_req(0, (i % 2) * 0x100 + (i / 2) * 0x10000)))
             .collect();
         check_equivalence(cfg, &reqs, 60_000);
+    }
+
+    /// Nearly a thousand mixed reads and writes over every channel, injected
+    /// faster than the controllers drain them. Addresses fall in three
+    /// rows per bank, so the FR-FCFS scheduler sees both row hits and
+    /// row conflicts while the backlog lasts.
+    fn backlog_workload() -> Vec<(u64, MemRequest)> {
+        let mut x = 0x2545_f491u32;
+        (0..960u32)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                let addr = (x % 48) * 2048 + (i % 16) * 128;
+                let core = i as usize % 12;
+                let req = if i % 3 == 0 {
+                    write_req(core, addr)
+                } else {
+                    read_req(core, addr)
+                };
+                (u64::from(i / 4), req)
+            })
+            .collect()
+    }
+
+    /// Shader cycles during which at least two channels hold overflowed
+    /// requests, and how many of those the engine spent with its next
+    /// DRAM step more than one DRAM cycle away (the retry-event skip).
+    /// `requests` must be sorted by injection cycle.
+    fn backlog_profile(cfg: &GpuConfig, requests: &[(u64, MemRequest)]) -> (u64, u64) {
+        let mut u = Uncore::new(cfg);
+        let mut stats = ActivityVector::new();
+        let mut resps = Vec::new();
+        let (mut backlogged, mut skipping) = (0, 0);
+        let mut pending = requests.iter().peekable();
+        let mut cycle = 0u64;
+        while pending.peek().is_some() || !u.is_idle() {
+            while let Some((_, req)) = pending.next_if(|(at, _)| *at == cycle) {
+                u.push_request(*req, &mut stats);
+            }
+            u.advance(1, &mut resps, &mut stats);
+            resps.clear();
+            if u.overflow.iter().filter(|q| !q.is_empty()).count() >= 2 {
+                backlogged += 1;
+                skipping += u64::from(u.next_dram_event > u.dram_cycle + 1);
+            }
+            cycle += 1;
+        }
+        (backlogged, skipping)
+    }
+
+    #[test]
+    fn sustained_backlog_matches_dense_loop() {
+        let mut shallow = GpuConfig::gt240();
+        shallow.mc_queue_depth = 2;
+        for cfg in [GpuConfig::gt240(), GpuConfig::gtx580(), shallow] {
+            let reqs = backlog_workload();
+            let (backlogged, skipping) = backlog_profile(&cfg, &reqs);
+            assert!(backlogged >= 1_000, "only {backlogged} backlogged cycles");
+            assert!(skipping > 0, "retry event never skipped a DRAM cycle");
+            check_equivalence(cfg, &reqs, 200_000);
+        }
     }
 
     #[test]
